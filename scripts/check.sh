@@ -7,8 +7,8 @@
 # Set CHECK_BENCH=1 to also run the benchmark guards (observability
 # overhead + fault-hook overhead + matrix-kernel throughput +
 # checkpoint overhead + flight-recorder idle overhead + service
-# batched-reduction throughput + SoCDMMU pressure guards — what CI's
-# benchmark job does).
+# batched-reduction throughput + SoCDMMU pressure guards + tenant-state
+# conversion guard — what CI's benchmark job does).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -41,4 +41,6 @@ if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
     PYTHONPATH=src python -m pytest -q benchmarks/test_bench_service.py
     echo "== socdmmu pressure guard =="
     PYTHONPATH=src python -m pytest -q benchmarks/test_bench_socdmmu_pressure.py
+    echo "== tenant-state conversion guard =="
+    PYTHONPATH=src python -m pytest -q benchmarks/test_bench_tenant_state.py
 fi

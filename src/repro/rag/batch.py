@@ -102,12 +102,31 @@ def _write_words(plane, index: int, value: int, words: int) -> None:
         value >>= PLANE_WORD_BITS
 
 
-def _read_words(span) -> int:
-    """Recombine a word span back into one Python-int bit vector."""
-    value = 0
-    for j in range(span.shape[0] - 1, -1, -1):
-        value = (value << PLANE_WORD_BITS) | int(span[j])
-    return value
+def _read_vectors(plane, count: int) -> list[int]:
+    """Recombine the first ``count`` word spans of a ``(side, words)``
+    plane into Python-int bit vectors: one ``tobytes()`` for the plane,
+    one ``int.from_bytes`` per span (word ``j`` holds bits
+    ``64j .. 64j + 63``, so little-endian bytes read it in order)."""
+    data = plane[:count].astype("<u8", copy=False).tobytes()
+    step = plane.shape[1] * (PLANE_WORD_BITS // 8)
+    return [int.from_bytes(data[i:i + step], "little")
+            for i in range(0, count * step, step)]
+
+
+def _plane_residual(row_r, row_g, col_r, col_g, index: int,
+                    like: BitMatrix) -> BitMatrix:
+    """Slot ``index`` of four packed planes as a standalone BitMatrix
+    shaped and named after ``like``."""
+    matrix = BitMatrix(like.m, like.n,
+                       resource_names=like.resource_names,
+                       process_names=like.process_names)
+    matrix._row_r = _read_vectors(row_r[index], like.m)
+    matrix._row_g = _read_vectors(row_g[index], like.m)
+    matrix._col_r = _read_vectors(col_r[index], like.n)
+    matrix._col_g = _read_vectors(col_g[index], like.n)
+    matrix._edges = (sum(map(int.bit_count, matrix._row_r))
+                     + sum(map(int.bit_count, matrix._row_g)))
+    return matrix
 
 
 def _pack_vectors(plane_r, plane_g, index: int, values_r, values_g,
@@ -278,22 +297,8 @@ class BatchPlane:
 
     def residual(self, index: int) -> BitMatrix:
         """Tenant ``index``'s current plane as a standalone BitMatrix."""
-        source = self._sources[index]
-        matrix = BitMatrix(source.m, source.n,
-                           resource_names=source.resource_names,
-                           process_names=source.process_names)
-        edges = 0
-        for s in range(source.m):
-            r_word = _read_words(self._row_r[index, s])
-            g_word = _read_words(self._row_g[index, s])
-            matrix._row_r[s] = r_word
-            matrix._row_g[s] = g_word
-            edges += r_word.bit_count() + g_word.bit_count()
-        for t in range(source.n):
-            matrix._col_r[t] = _read_words(self._col_r[index, t])
-            matrix._col_g[t] = _read_words(self._col_g[index, t])
-        matrix._edges = edges
-        return matrix
+        return _plane_residual(self._row_r, self._row_g, self._col_r,
+                               self._col_g, index, self._sources[index])
 
     def residuals(self) -> list[BitMatrix]:
         return [self.residual(i) for i in range(self.count)]
@@ -337,21 +342,8 @@ class PlaneReduction:
 
     def residual(self, position: int, like: BitMatrix) -> BitMatrix:
         """The reduced plane as a BitMatrix shaped/named after ``like``."""
-        matrix = BitMatrix(like.m, like.n,
-                           resource_names=like.resource_names,
-                           process_names=like.process_names)
-        edges = 0
-        for s in range(like.m):
-            r_word = _read_words(self._row_r[position, s])
-            g_word = _read_words(self._row_g[position, s])
-            matrix._row_r[s] = r_word
-            matrix._row_g[s] = g_word
-            edges += r_word.bit_count() + g_word.bit_count()
-        for t in range(like.n):
-            matrix._col_r[t] = _read_words(self._col_r[position, t])
-            matrix._col_g[t] = _read_words(self._col_g[position, t])
-        matrix._edges = edges
-        return matrix
+        return _plane_residual(self._row_r, self._row_g, self._col_r,
+                               self._col_g, position, like)
 
 
 class PlaneAccumulator:

@@ -58,6 +58,40 @@ BACKENDS = (FAST_BACKEND, REFERENCE_BACKEND, NATIVE_BACKEND)
 #: Environment escape hatch: ``REPRO_MATRIX_BACKEND=reference``.
 BACKEND_ENV_VAR = "REPRO_MATRIX_BACKEND"
 
+#: Text-row cell tokens, as :meth:`StateMatrix.from_rows` accepts them.
+_CELL_TOKENS = ("g", "r", ".", "0")
+_CELL_CHARS = "".join(_CELL_TOKENS)
+#: Cell token -> plane bit: ``str.translate`` then ``int(_, 2)`` turns a
+#: string of cell tokens into request or grant words in C.
+_REQUEST_DIGITS = str.maketrans(_CELL_CHARS, "0100")
+_GRANT_DIGITS = str.maketrans(_CELL_CHARS, "1000")
+
+
+def _row_cells(row: str) -> str:
+    """A text row's cell tokens joined into one string, one per cell."""
+    tokens = row.split()
+    text = "".join(tokens)
+    if len(text) != len(tokens) or text.strip(_CELL_CHARS):
+        bad = next(token for token in tokens if token not in _CELL_TOKENS)
+        raise ResourceProtocolError(f"bad cell token {bad!r}")
+    return text
+
+
+def _bit_vectors(bits: str, m: int, n: int) -> tuple[list[int], list[int]]:
+    """Row and column words of a row-major string of ``0``/``1`` cells.
+
+    Reversed, the string holds row ``m - 1`` first with column 0
+    rightmost, so each ``n``-slice parses to a row word with cell ``t``
+    on bit ``t``, and each ``n``-strided slice to a column word with
+    cell ``s`` on bit ``s`` — both lists come out last-first.
+    """
+    flipped = bits[::-1]
+    rows = [int(flipped[k:k + n], 2) for k in range(0, m * n, n)]
+    columns = [int(flipped[k::n], 2) for k in range(n)]
+    rows.reverse()
+    columns.reverse()
+    return rows, columns
+
 
 class BitMatrix:
     """An m x n state matrix stored as per-row/per-column bit vectors.
@@ -107,8 +141,27 @@ class BitMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[str]) -> "BitMatrix":
-        """Build from compact text rows, e.g. ``["g r .", "r g ."]``."""
-        return cls.from_matrix(StateMatrix.from_rows(rows))
+        """Build from compact text rows, e.g. ``["g r .", "r g ."]``.
+
+        Same tokens, same degenerate states and same errors as
+        :meth:`StateMatrix.from_rows`, parsed straight into the planes:
+        the cells join into one row-major string, and every row and
+        column word is one slice of it read by ``int(_, 2)``.
+        """
+        texts = [_row_cells(row) for row in rows]
+        if not texts:
+            raise ResourceProtocolError("no rows given")
+        widths = {len(text) for text in texts}
+        if len(widths) != 1:
+            raise ResourceProtocolError("ragged rows")
+        m, n, cells = len(texts), widths.pop(), "".join(texts)
+        matrix = cls(m, n)
+        matrix._row_r, matrix._col_r = _bit_vectors(
+            cells.translate(_REQUEST_DIGITS), m, n)
+        matrix._row_g, matrix._col_g = _bit_vectors(
+            cells.translate(_GRANT_DIGITS), m, n)
+        matrix._edges = cells.count("r") + cells.count("g")
+        return matrix
 
     @classmethod
     def from_matrix(cls, other: "AnyStateMatrix") -> "BitMatrix":
@@ -173,12 +226,27 @@ class BitMatrix:
 
     SNAPSHOT_KIND = "rag.bitmatrix"
 
+    def _row_symbols(self, s: int) -> list[str]:
+        """Row ``s`` as one token per cell, walked off its set bits."""
+        cells = ["."] * self.n
+        for bits, symbol in ((self._row_r[s], "r"), (self._row_g[s], "g")):
+            while bits:
+                low = bits & -bits
+                cells[low.bit_length() - 1] = symbol
+                bits ^= low
+        return cells
+
+    def text_rows(self) -> list[str]:
+        """Compact text rows, the inverse of :meth:`from_rows`."""
+        return [" ".join(self._row_symbols(s)) for s in range(self.m)]
+
     def snapshot_state(self) -> dict:
         """Versioned, hashed snapshot.
 
         The payload is identical to the :class:`StateMatrix` payload for
         the same state — ``state_hash`` is representation-independent,
         so BitMatrix <-> StateMatrix conversions are hash-preserving.
+        The rows are rendered from the planes, never cell by cell.
         """
         return matrix_snapshot_state(self, self.SNAPSHOT_KIND)
 
@@ -385,8 +453,8 @@ class BitMatrix:
             p.rjust(col_width) for p in self.process_names)
         lines = [header]
         for s in range(self.m):
-            cells = " ".join(self.get(s, t).symbol().rjust(col_width)
-                             for t in range(self.n))
+            cells = " ".join(symbol.rjust(col_width)
+                             for symbol in self._row_symbols(s))
             lines.append(f"{self.resource_names[s]:<6s}{cells}")
         return "\n".join(lines)
 

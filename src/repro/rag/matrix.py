@@ -21,6 +21,9 @@ from typing import Iterable, Optional
 from repro.errors import ResourceProtocolError
 from repro.rag.graph import RAG
 
+#: Text-row token of each cell, indexed by its 2-bit encoding.
+_CELL_SYMBOLS = ".gr"
+
 
 class CellState(enum.IntEnum):
     """Ternary cell value with the hardware's 2-bit encoding."""
@@ -38,9 +41,7 @@ class CellState(enum.IntEnum):
         return self.value & 1
 
     def symbol(self) -> str:
-        return {CellState.EMPTY: ".",
-                CellState.GRANT: "g",
-                CellState.REQUEST: "r"}[self]
+        return _CELL_SYMBOLS[self]
 
 
 #: Both matrix backends accept each other's snapshots: the payload is
@@ -51,14 +52,12 @@ MATRIX_SNAPSHOT_KINDS = ("rag.matrix", "rag.bitmatrix")
 
 
 def matrix_snapshot_state(matrix, kind: str) -> dict:
-    """Shared snapshot payload for any class speaking the cell protocol."""
+    """Shared snapshot payload: names plus the matrix's ``text_rows()``."""
     from repro.checkpoint.protocol import snapshot_envelope
-    rows = [" ".join(matrix.get(s, t).symbol() for t in range(matrix.n))
-            for s in range(matrix.m)]
     return snapshot_envelope(kind, {
         "resource_names": list(matrix.resource_names),
         "process_names": list(matrix.process_names),
-        "rows": rows,
+        "rows": matrix.text_rows(),
     })
 
 
@@ -205,6 +204,11 @@ class StateMatrix:
         return clone
 
     # -- checkpoint protocol -----------------------------------------------------
+
+    def text_rows(self) -> list[str]:
+        """Compact text rows, the inverse of :meth:`from_rows`."""
+        return [" ".join([cell.symbol() for cell in row])
+                for row in self._cells]
 
     def snapshot_state(self) -> dict:
         """Versioned, hashed snapshot (see :mod:`repro.checkpoint`)."""

@@ -13,7 +13,7 @@ from typing import Union
 from repro.errors import ResourceProtocolError
 from repro.rag.bitmatrix import AnyStateMatrix, BitMatrix
 from repro.rag.graph import RAG
-from repro.rag.matrix import CellState, StateMatrix
+from repro.rag.matrix import StateMatrix
 from repro.rag.multiunit import MultiUnitSystem
 
 
@@ -51,14 +51,9 @@ def rag_from_json(text: str) -> RAG:
     return rag_from_dict(json.loads(text))
 
 
-_SYMBOLS = {CellState.EMPTY: ".", CellState.GRANT: "g",
-            CellState.REQUEST: "r"}
-
-
 def matrix_to_rows(matrix: AnyStateMatrix) -> list:
     """Compact text rows accepted by :meth:`StateMatrix.from_rows`."""
-    return [" ".join(_SYMBOLS[matrix.get(s, t)] for t in range(matrix.n))
-            for s in range(matrix.m)]
+    return matrix.text_rows()
 
 
 def matrix_to_dict(matrix: AnyStateMatrix) -> dict:
@@ -69,9 +64,10 @@ def matrix_to_dict(matrix: AnyStateMatrix) -> dict:
     }
 
 
-def matrix_from_dict(data: dict) -> StateMatrix:
+def _named_matrix(cls, data: dict) -> AnyStateMatrix:
+    """A ``cls`` matrix parsed from :func:`matrix_to_dict` output."""
     try:
-        matrix = StateMatrix.from_rows(data["rows"])
+        matrix = cls.from_rows(data["rows"])
         names_r = data.get("resource_names")
         names_p = data.get("process_names")
     except KeyError as missing:
@@ -86,6 +82,10 @@ def matrix_from_dict(data: dict) -> StateMatrix:
             raise ResourceProtocolError("process_names length mismatch")
         matrix.process_names = list(names_p)
     return matrix
+
+
+def matrix_from_dict(data: dict) -> StateMatrix:
+    return _named_matrix(StateMatrix, data)
 
 
 def multiunit_to_dict(system: MultiUnitSystem) -> dict:
@@ -144,7 +144,7 @@ def restore(data: dict) -> AnyRagState:
     if kind == "matrix":
         return matrix_from_dict(data)
     if kind == "bitmatrix":
-        return BitMatrix.from_matrix(matrix_from_dict(data))
+        return _named_matrix(BitMatrix, data)
     if kind == "multiunit":
         return multiunit_from_dict(data)
     raise ResourceProtocolError(f"unknown snapshot kind {kind!r}")

@@ -291,6 +291,7 @@ class DetectionService:
         self.shards: list[ShardHandle] = []
         self._queue: list = []          # _QueuedOp, arrival order
         self._connections: set = set()  # live client writers (drain)
+        self._handlers: set = set()     # their connection handler tasks
         self._queued_ops = 0
         self._tick_task = None
         self._servers: list = []
@@ -420,6 +421,14 @@ class DetectionService:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
         self._connections.clear()
+        # A closed writer ends its handler's read with EOF.  Let every
+        # handler run its cleanup and return now: one still pending when
+        # the loop shuts down (SIGTERM) would be cancelled mid-read, and
+        # asyncio.streams before Python 3.12 reports that as an
+        # unhandled error.
+        handlers = self._handlers - {asyncio.current_task()}
+        if handlers:
+            await asyncio.wait(handlers, timeout=self.config.drain_timeout)
         for handle in self.shards:
             handle.stop()
 
@@ -428,6 +437,7 @@ class DetectionService:
     async def _handle_connection(self, reader, writer) -> None:
         lock = asyncio.Lock()
         tasks: set = set()
+        self._handlers.add(asyncio.current_task())
         self._connections.add(writer)
         try:
             while True:
@@ -466,6 +476,7 @@ class DetectionService:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            self._handlers.discard(asyncio.current_task())
             self._connections.discard(writer)
             for task in tasks:
                 task.cancel()

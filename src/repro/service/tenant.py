@@ -62,7 +62,14 @@ def _build_matrix(spec: Mapping[str, Any]) -> BitMatrix:
     """Tenant matrix from an attach request (rows > seed > empty)."""
     rows = spec.get("rows")
     if rows is not None:
-        matrix = BitMatrix.from_rows(rows)
+        if not (isinstance(rows, list)
+                and all(isinstance(row, str) for row in rows)):
+            raise ServiceOpError("bad-request",
+                                 "rows must be a list of text rows")
+        try:
+            matrix = BitMatrix.from_rows(rows)
+        except ResourceProtocolError as exc:
+            raise ServiceOpError("bad-request", str(exc)) from exc
     else:
         m = int(spec.get("m", 8))
         n = int(spec.get("n", 8))

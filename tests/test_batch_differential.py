@@ -15,6 +15,8 @@ seeded random op streams.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rag.batch import (
     HAS_NUMPY,
@@ -34,6 +36,11 @@ from repro.rag.generate import (
     worst_case_state,
 )
 from repro.rag.matrix import CellState
+from tests.test_bitmatrix_equiv import (
+    CONVERSION_WIDTHS,
+    assert_same_planes,
+    random_text_rows,
+)
 
 SEED_ROOT = 42
 
@@ -309,3 +316,54 @@ def test_accumulator_slot_recycling_and_growth():
     assert reduction.counts(0) == solo_small.reduce()
     assert reduction.counts(1) == solo_wide.reduce()
     assert reduction.residual(1, wide) == solo_wide
+
+
+# -- residual read-back: whole word spans per row/column ----------------
+
+def _assert_residuals_match_reduce(matrices) -> None:
+    """Both residual readers equal per-tenant ``BitMatrix.reduce()`` in
+    all four planes and the edge count — tenants packed at their own
+    widths inside the ensemble's widest envelope."""
+    from repro.rag.batch import PlaneAccumulator
+
+    plane = BatchPlane(matrices)
+    plane.reduce_all()
+    acc = PlaneAccumulator()
+    slots = [acc.add(matrix) for matrix in matrices]
+    reduction = acc.reduce(slots[::-1])
+    for index, matrix in enumerate(matrices):
+        solo = matrix.copy()
+        solo.reduce()
+        assert_same_planes(plane.residual(index), solo)
+        position = len(matrices) - 1 - index
+        assert_same_planes(reduction.residual(position, matrix), solo)
+
+
+@needs_numpy
+@pytest.mark.parametrize("width", CONVERSION_WIDTHS)
+def test_residuals_match_per_tenant_reduce(width):
+    rng = random.Random(SEED_ROOT * 7 + width)
+    matrices = [
+        BitMatrix.from_rows(
+            random_text_rows(m, width, rng, density, degenerate))
+        for m in sorted({1, width, max(1, width // 2)})
+        for density in (0.02, 0.3)
+        for degenerate in (False, True)]
+    # A mixed-width ensemble: the narrow tenants ride in wide slots.
+    matrices.append(BitMatrix.from_rag(cycle_state(5)))
+    _assert_residuals_match_reduce(matrices)
+
+
+@needs_numpy
+@settings(max_examples=40, deadline=None)
+@given(shapes=st.lists(st.tuples(st.sampled_from(CONVERSION_WIDTHS),
+                                 st.sampled_from(CONVERSION_WIDTHS),
+                                 st.floats(0.0, 1.0), st.booleans()),
+                       min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_residuals_match_per_tenant_reduce_hypothesis(shapes, seed):
+    rng = random.Random(seed)
+    _assert_residuals_match_reduce([
+        BitMatrix.from_rows(
+            random_text_rows(m, n, rng, density, degenerate))
+        for m, n, density, degenerate in shapes])

@@ -15,6 +15,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign.spec import derive_seed
 from repro.deadlock.ddu import DDU
@@ -337,3 +339,106 @@ def test_smoke_campaign_states_agree_across_backends():
         assert fast.residual == ref.residual, scenario.scenario_id
         checked += 1
     assert checked >= 10
+
+
+# -- text rows: parsed and rendered on the planes ------------------------
+
+#: Widths straddling the 64-bit word boundary, up to past the service's
+#: 160-wide benchmark tenants.
+CONVERSION_WIDTHS = (1, 16, 63, 64, 65, 128, 160, 200)
+
+
+def random_text_rows(m: int, n: int, rng: random.Random,
+                     density: float = 0.3,
+                     degenerate: bool = False) -> list:
+    """Seeded text rows.
+
+    Plain rows are a legal RAG state rendered by the reference matrix.
+    Degenerate rows draw every cell independently, so a row or column
+    may hold several ``g``; they also mix in ``0`` empties and irregular
+    whitespace — everything :meth:`StateMatrix.from_rows` accepts.
+    """
+    if not degenerate:
+        rag = random_state(m, n, grant_fraction=min(1.0, density * 2),
+                           request_fraction=density / 4, rng=rng)
+        return StateMatrix.from_rag(rag).text_rows()
+    rows = []
+    for _ in range(m):
+        tokens = [rng.choice("gr") if rng.random() < density
+                  else rng.choice(".0") for _ in range(n)]
+        gaps = [rng.choice((" ", " ", "  ", "\t")) for _ in range(n)]
+        rows.append(gaps[0] * rng.randrange(2)
+                    + "".join(token + gap
+                              for token, gap in zip(tokens, gaps)))
+    return rows
+
+
+def assert_same_planes(got: BitMatrix, want: BitMatrix) -> None:
+    assert (got.m, got.n) == (want.m, want.n)
+    assert got._row_r == want._row_r
+    assert got._row_g == want._row_g
+    assert got._col_r == want._col_r
+    assert got._col_g == want._col_g
+    assert got._edges == want._edges
+
+
+def _assert_conversions_agree(rows: list) -> None:
+    ref = StateMatrix.from_rows(rows)
+    fast = BitMatrix.from_rows(rows)
+    assert_same_planes(fast, BitMatrix.from_matrix(ref))
+    # Rendered from the planes, the payload and hash equal the
+    # reference's rendering from its cells.
+    fast_snap = fast.snapshot_state()
+    ref_snap = ref.snapshot_state()
+    assert fast_snap["state"] == ref_snap["state"]
+    assert fast_snap["state_hash"] == ref_snap["state_hash"]
+    assert fast.render() == ref.render()
+    # And the round trips close, across backends too.
+    assert_same_planes(BitMatrix.from_rows(fast.text_rows()), fast)
+    assert_same_planes(BitMatrix.restore_state(ref_snap), fast)
+    assert StateMatrix.restore_state(fast_snap) == ref
+
+
+@pytest.mark.parametrize("degenerate", [False, True],
+                         ids=["legal", "degenerate"])
+@pytest.mark.parametrize("width", CONVERSION_WIDTHS)
+def test_text_row_conversions_match_reference(width, degenerate):
+    rng = random.Random(_seed(f"rows/{width}/{degenerate}"))
+    for m in sorted({1, width, max(1, width // 3)}):
+        for density in (0.0, 0.05, 0.5):
+            _assert_conversions_agree(
+                random_text_rows(m, width, rng, density, degenerate))
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.sampled_from(CONVERSION_WIDTHS),
+       n=st.sampled_from(CONVERSION_WIDTHS),
+       seed=st.integers(0, 2**32 - 1),
+       density=st.floats(0.0, 1.0),
+       degenerate=st.booleans())
+def test_text_row_conversions_match_reference_hypothesis(
+        m, n, seed, density, degenerate):
+    _assert_conversions_agree(
+        random_text_rows(m, n, random.Random(seed), density, degenerate))
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    ["g x"],
+    ["g . r", "g gg ."],
+    ["g gr ."],                   # multi-character tokens that are
+    [".0 g"],                     # substrings of the token alphabet
+    ["g r", "g r ."],             # single-spaced but ragged
+    ["g r", "x ."],
+    ["g .", "g"],
+    ["g . r", "r . x", "g"],      # the bad token wins over raggedness
+    [""],
+    [" ", "\t"],
+    ["g\tr", "r  g  ", "q"],
+], ids=repr)
+def test_text_row_errors_match_reference(rows):
+    with pytest.raises(ResourceProtocolError) as ref_err:
+        StateMatrix.from_rows(rows)
+    with pytest.raises(ResourceProtocolError) as fast_err:
+        BitMatrix.from_rows(rows)
+    assert str(fast_err.value) == str(ref_err.value)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ResourceProtocolError
+from repro.rag.bitmatrix import BitMatrix
 from repro.rag.generate import cycle_state, random_state
 from repro.rag.matrix import StateMatrix
 from repro.rag.serialize import (
@@ -79,6 +80,20 @@ def test_snapshot_restore_dispatch():
         restore({"kind": "hologram"})
     with pytest.raises(ResourceProtocolError):
         snapshot(42)
+
+
+def test_bitmatrix_snapshot_restores_planes_and_names():
+    matrix = BitMatrix.from_rows(["g r .", ". . g"])
+    matrix.resource_names = ["IDCT", "FFT"]
+    data = snapshot(matrix)
+    assert data["rows"] == matrix_to_rows(
+        StateMatrix.from_matrix(matrix)) == ["g r .", ". . g"]
+    rebuilt = restore(data)
+    assert type(rebuilt) is BitMatrix and rebuilt == matrix
+    assert rebuilt.resource_names == ["IDCT", "FFT"]
+    data["process_names"] = ["only-one"]
+    with pytest.raises(ResourceProtocolError, match="process_names"):
+        restore(data)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 6))

@@ -10,6 +10,7 @@ the same batch.
 
 import pytest
 
+from repro.deadlock.pdda import pdda_detect
 from repro.errors import ServiceError
 from repro.service.protocol import (
     ADMIN_OPS,
@@ -125,6 +126,19 @@ def test_tenant_attach_seeded_is_deterministic():
 def test_tenant_attach_rows():
     tenant = Tenant.from_attach("t", {"rows": ["g r", ". .", "r g"]})
     assert (tenant.matrix.m, tenant.matrix.n) == (3, 2)
+
+
+@pytest.mark.parametrize("backend", ["bitmask", "reference"])
+def test_detect_payload_takes_any_backend_residual(backend):
+    # A detect answered off the service's batch plane hands in a
+    # residual of the process-default backend, StateMatrix included.
+    tenant = Tenant.from_attach("t", {"rows": ["g r", "r g"]})
+    result = pdda_detect(tenant.matrix.copy(), backend=backend)
+    payload = tenant.detect_payload(result.deadlock, result.iterations,
+                                    result.passes, result.residual,
+                                    batched=1)
+    assert payload["deadlock"] is True
+    assert payload["deadlocked_processes"] == ["p1", "p2"]
 
 
 def test_claim_grants_free_resource():

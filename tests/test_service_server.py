@@ -8,8 +8,13 @@ the tests debuggable with a bare interpreter.
 """
 
 import asyncio
+import json
 import os
 import signal
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +24,16 @@ from repro.service import (
     ServiceConfig,
     ServiceOpError,
 )
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _src_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (str(REPO / "src") + os.pathsep
+                         + env.get("PYTHONPATH", ""))
+    return env
 
 
 def _run(coro):
@@ -329,3 +344,48 @@ def test_latency_metrics_populate():
         finally:
             await _stop(service, client)
     _run(scenario())
+
+
+def test_attach_with_bad_rows_is_refused_and_connection_survives():
+    async def scenario():
+        service, client = await _started()
+        try:
+            for rows, detail in ((["g x"], "bad cell token 'x'"),
+                                 (["g .", "g"], "ragged rows"),
+                                 ([], "no rows given"),
+                                 ("g r", "rows must be a list"),
+                                 ([1, 2], "rows must be a list")):
+                with pytest.raises(ServiceOpError) as err:
+                    await client.attach("bad", rows=rows)
+                assert err.value.code == "bad-request"
+                assert detail in err.value.detail
+            reply = await client.attach("t0", rows=["g r", ". g"])
+            assert reply["m"] == reply["n"] == 2
+        finally:
+            await _stop(service, client)
+    _run(scenario())
+
+
+def test_sigterm_with_open_connection_exits_cleanly():
+    """SIGTERM while a client holds a connection: exit 0, no traceback."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "--no-processes",
+         "--shards", "1"],
+        env=_src_env(), cwd=REPO, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    try:
+        ready = json.loads(process.stdout.readline())
+        with socket.create_connection(("127.0.0.1", ready["port"]),
+                                      timeout=10) as sock:
+            sock.sendall(b'{"op": "attach", "tenant": "t0", '
+                         b'"m": 2, "n": 2}\n')
+            reply = json.loads(sock.makefile().readline())
+            assert reply["ok"] and reply["attached"]
+            process.send_signal(signal.SIGTERM)
+            _, stderr = process.communicate(timeout=30)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
+    assert process.returncode == 0, stderr
+    assert "Traceback" not in stderr, stderr
