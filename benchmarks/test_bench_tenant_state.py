@@ -1,30 +1,24 @@
 """Benchmark guard: tenant state converts on the bit planes.
 
-A service tenant's matrix is converted four ways: parsed from text rows
-when it is attached by ``rows`` (and on every restore), rendered to text
-rows for each snapshot refresh, restored from a snapshot on migration
-and shard-crash recovery, and read back from the packed planes after a
-batched reduction (the residual a detect verdict is built from).
-:class:`~repro.rag.bitmatrix.BitMatrix` does the first three on whole
-row/column bit vectors and :class:`~repro.rag.batch.PlaneReduction`
-reads whole word spans for the fourth.
+A service tenant's matrix is converted three ways: parsed from text
+rows when it is attached by ``rows`` (and on every restore), rendered
+to text rows for each snapshot refresh, and restored from a snapshot on
+migration and shard-crash recovery.
+:class:`~repro.rag.bitmatrix.BitMatrix` does all three on whole
+row/column bit vectors.  (The residual a detect verdict is built from
+is the reduced copy of the tenant's mirror itself, so it has no
+conversion left to time; ``test_bench_shard_reduce.py`` covers it.)
 
 Each conversion is timed at 16x16 and 160x160 against a reference
-route.  The first three go through the
-:class:`~repro.rag.matrix.StateMatrix` reference, which reads or writes
-one cell object at a time; the residual has no cell-level counterpart,
-so its reference reads the same planes one word at a time:
+route through the :class:`~repro.rag.matrix.StateMatrix` reference,
+which reads or writes one cell object at a time:
 
 * ``attach_rows``: ``BitMatrix.from_rows`` against
   ``BitMatrix.from_matrix(StateMatrix.from_rows(rows))``;
 * ``snapshot``: ``BitMatrix.snapshot_state`` against
   ``StateMatrix.from_matrix(matrix).snapshot_state()``;
 * ``restore``: ``BitMatrix.restore_state`` against
-  ``BitMatrix.from_matrix(StateMatrix.restore_state(envelope))``;
-* ``residual`` (with NumPy only): ``PlaneReduction.residual`` against
-  ``_per_word_residual`` below, which rebuilds the same BitMatrix from
-  the same reduced planes with one ``int()`` per uint64 word — not a
-  StateMatrix comparison.
+  ``BitMatrix.from_matrix(StateMatrix.restore_state(envelope))``.
 
 Both sides must give the same planes and the same ``state_hash`` before
 anything is timed.  Every figure is the median of ``REPEATS`` samples,
@@ -36,11 +30,14 @@ The record goes to ``BENCH_tenant_state.json`` at the repo root, with
 
 import json
 import statistics
-import time
 from pathlib import Path
 
-from benchmarks.conftest import backend_stamp, bench_once
-from repro.rag.batch import HAS_NUMPY, PLANE_WORD_BITS, PlaneAccumulator
+from benchmarks.conftest import (
+    backend_stamp,
+    bench_once,
+    sample_pair_ms,
+    spread,
+)
 from repro.rag.bitmatrix import BitMatrix
 from repro.rag.generate import random_state, resolve_rng
 from repro.rag.matrix import StateMatrix
@@ -63,63 +60,12 @@ REFERENCE_ROUTES = {
     "attach_rows": "BitMatrix.from_matrix(StateMatrix.from_rows(rows))",
     "snapshot": "StateMatrix.from_matrix(matrix).snapshot_state()",
     "restore": "BitMatrix.from_matrix(StateMatrix.restore_state(envelope))",
-    "residual": "same planes read one uint64 word at a time",
 }
-
-
-def _sample_pair_ms(fast, reference) -> tuple:
-    """``REPEATS`` per-call samples of each side, taken alternately so
-    both sides see the same minutes of a shared host."""
-    samplers = []
-    for fn in (fast, reference):
-        start = time.perf_counter()
-        fn()
-        calls = max(1, round(SAMPLE_SECONDS
-                             / (time.perf_counter() - start)))
-        samplers.append((fn, calls, []))
-    for _ in range(REPEATS):
-        for fn, calls, samples in samplers:
-            start = time.perf_counter()
-            for _ in range(calls):
-                fn()
-            samples.append((time.perf_counter() - start) * 1e3 / calls)
-    return samplers[0][2], samplers[1][2]
-
-
-def _spread(samples: list) -> float:
-    low, _, high = statistics.quantiles(samples, n=4)
-    return (high - low) / statistics.median(samples)
 
 
 def _same_planes(a: BitMatrix, b: BitMatrix) -> bool:
     return ((a._row_r, a._row_g, a._col_r, a._col_g, a._edges)
             == (b._row_r, b._row_g, b._col_r, b._col_g, b._edges))
-
-
-def _per_word_vector(span) -> int:
-    """One word span recombined a word at a time, high word first."""
-    value = 0
-    for j in range(span.shape[0] - 1, -1, -1):
-        value = (value << PLANE_WORD_BITS) | int(span[j])
-    return value
-
-
-def _per_word_residual(reduction, position: int,
-                       like: BitMatrix) -> BitMatrix:
-    """``reduction.residual(position, like)`` read one word at a time."""
-    matrix = BitMatrix(like.m, like.n, resource_names=like.resource_names,
-                       process_names=like.process_names)
-    matrix._row_r = [_per_word_vector(reduction._row_r[position, s])
-                     for s in range(like.m)]
-    matrix._row_g = [_per_word_vector(reduction._row_g[position, s])
-                     for s in range(like.m)]
-    matrix._col_r = [_per_word_vector(reduction._col_r[position, t])
-                     for t in range(like.n)]
-    matrix._col_g = [_per_word_vector(reduction._col_g[position, t])
-                     for t in range(like.n)]
-    matrix._edges = (sum(map(int.bit_count, matrix._row_r))
-                     + sum(map(int.bit_count, matrix._row_g)))
-    return matrix
 
 
 def _conversions(side: int) -> dict:
@@ -136,7 +82,7 @@ def _conversions(side: int) -> dict:
         matrix).snapshot_state()["state_hash"]
     assert _same_planes(BitMatrix.restore_state(envelope), matrix)
 
-    conversions = {
+    return {
         "attach_rows": (
             lambda: BitMatrix.from_rows(rows),
             lambda: BitMatrix.from_matrix(StateMatrix.from_rows(rows))),
@@ -148,18 +94,6 @@ def _conversions(side: int) -> dict:
             lambda: BitMatrix.from_matrix(
                 StateMatrix.restore_state(envelope))),
     }
-    if HAS_NUMPY:
-        plane = PlaneAccumulator()
-        reduction = plane.reduce([plane.add(matrix)])
-        residual = reduction.residual(0, matrix)
-        solo = matrix.copy()
-        solo.reduce()
-        assert _same_planes(residual, solo)
-        assert _same_planes(_per_word_residual(reduction, 0, matrix), solo)
-        conversions["residual"] = (
-            lambda: reduction.residual(0, matrix),
-            lambda: _per_word_residual(reduction, 0, matrix))
-    return conversions
 
 
 def _measure() -> dict:
@@ -168,12 +102,13 @@ def _measure() -> dict:
               "reference_routes": REFERENCE_ROUTES, **backend_stamp(160)}
     for side in SHAPES:
         for name, (fast, reference) in _conversions(side).items():
-            fast_ms, reference_ms = _sample_pair_ms(fast, reference)
+            fast_ms, reference_ms = sample_pair_ms(
+                fast, reference, REPEATS, SAMPLE_SECONDS)
             key = f"{name}_{side}"
             record[f"{key}_ms"] = statistics.median(fast_ms)
-            record[f"{key}_spread"] = _spread(fast_ms)
+            record[f"{key}_spread"] = spread(fast_ms)
             record[f"{key}_reference_ms"] = statistics.median(reference_ms)
-            record[f"{key}_reference_spread"] = _spread(reference_ms)
+            record[f"{key}_reference_spread"] = spread(reference_ms)
             record[f"{key}_ratio"] = (statistics.median(reference_ms)
                                       / statistics.median(fast_ms))
     return record

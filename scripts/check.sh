@@ -8,7 +8,8 @@
 # overhead + fault-hook overhead + matrix-kernel throughput +
 # checkpoint overhead + flight-recorder idle overhead + service
 # batched-reduction throughput + SoCDMMU pressure guards + tenant-state
-# conversion guard — what CI's benchmark job does).
+# conversion guard + shard dirty-tenant reduction guard — what CI's
+# benchmark job does).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -43,4 +44,6 @@ if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
     PYTHONPATH=src python -m pytest -q benchmarks/test_bench_socdmmu_pressure.py
     echo "== tenant-state conversion guard =="
     PYTHONPATH=src python -m pytest -q benchmarks/test_bench_tenant_state.py
+    echo "== shard dirty-tenant reduction guard =="
+    PYTHONPATH=src python -m pytest -q benchmarks/test_bench_shard_reduce.py
 fi

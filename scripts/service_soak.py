@@ -290,8 +290,6 @@ async def soak(args: argparse.Namespace, port: int,
             "clean_detects_skipped": skipped,
             "dirty_fraction": (dirty / considered) if considered else None,
             "plane_repacks": tally("repacks"),
-            "plane_grows": tally("plane_grows"),
-            "unpacked_fallbacks": tally("unpacked_fallbacks"),
             "p99_grant_us": stats["grant_latency"].get("p99_us"),
             "p99_verdict_us": stats["verdict_latency"].get("p99_us"),
             "errors": errors,

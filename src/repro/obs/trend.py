@@ -44,10 +44,12 @@ _LOWER_IS_BETTER = (
 _HIGHER_IS_BETTER = ("speedup", "throughput", "per_second", "fraction_ok",
                      "ratio", "savings")
 
-#: Name fragments that are configuration, not measurements.
+#: Name fragments that are configuration, not measurements.  A
+#: ``spread`` (interquartile range over median of a figure's samples)
+#: is the noise context of a measurement, not one itself.
 _IGNORED = ("bound", "min_speedup", "min_batch_ratio", "cadence",
             "iterations", "passes", "visits", "events", "count", "size",
-            "state", "workload", "benchmark", "tenants")
+            "state", "workload", "benchmark", "tenants", "spread")
 
 
 def metric_direction(name: str) -> Optional[str]:

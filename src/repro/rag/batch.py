@@ -1,10 +1,10 @@
 """Batched terminal reduction: many tenant matrices per vector op.
 
 :class:`~repro.rag.bitmatrix.BitMatrix` collapses one Algorithm-1 pass
-to O(m + n) Python-int mask tests.  A multi-tenant service (see
-:mod:`repro.service`) holds *thousands* of small matrices and wants one
-verdict per tenant per tick — running the per-tenant kernel N times
-re-pays the interpreter dispatch cost N times per pass.
+to O(m + n) Python-int mask tests.  A large ensemble of small
+matrices (dozens of tenants reduced at once) wants one verdict per
+matrix — running the per-tenant kernel N times re-pays the interpreter
+dispatch cost N times per pass.
 
 :class:`BatchPlane` packs N tenant matrices into four shared NumPy
 ``uint64`` planes — ``row_r[N, M, Wn]`` / ``row_g[N, M, Wn]`` hold each
@@ -45,11 +45,14 @@ loop — slower, but bit-identical by construction; :func:`batch_plane`
 signals that degradation through the ``matrix.batch.unpacked_fallbacks``
 counter and a flight-recorder event when given an observability hub.
 
-:class:`PlaneAccumulator` is the *persistent* variant the service tick
-path uses: tenants are packed once into long-lived planes, each
-accepted mutation refreshes just the touched row/column word spans in
-place, and each tick reduces only the dirty tenants on a scratch copy —
-see :mod:`repro.service.shard`.
+:class:`PlaneAccumulator` is the store the service tick path uses, and
+it does **not** use the planes: each tenant is mirrored once as a
+:class:`BitMatrix`, each accepted mutation copies just the touched row
+and column ints, and each tick runs :meth:`BitMatrix.reduce` on a copy
+of each dirty tenant's mirror — see :mod:`repro.service.shard`.  A tick
+reduces a handful of tenants, too few for the vectorized sweep to pay
+its per-pass NumPy dispatch and residual read-back, so
+:class:`BatchPlane` stays the ensemble kernel for other callers.
 """
 
 from __future__ import annotations
@@ -94,13 +97,6 @@ def _as_bitmatrix(source) -> BitMatrix:
 
 
 # -- word marshalling ---------------------------------------------------
-
-def _write_words(plane, index: int, value: int, words: int) -> None:
-    """Spread one Python-int bit vector over ``words`` uint64 words."""
-    for j in range(words):
-        plane[index, j] = value & _WORD_MASK
-        value >>= PLANE_WORD_BITS
-
 
 def _read_vectors(plane, count: int) -> list[int]:
     """Recombine the first ``count`` word spans of a ``(side, words)``
@@ -310,177 +306,108 @@ class BatchPlane:
 
 
 class PlaneReduction:
-    """One :meth:`PlaneAccumulator.reduce` result over scratch planes.
+    """One :meth:`PlaneAccumulator.reduce` result: the reduced copies.
 
     Positions index the ``slots`` sequence the reduction was asked for,
-    not accumulator slots.
+    not accumulator slots.  Each position owns a reduced copy of its
+    tenant's mirror, so nothing here aliases the accumulator.
     """
 
-    __slots__ = ("_row_r", "_row_g", "_col_r", "_col_g",
-                 "_iterations", "_passes")
+    __slots__ = ("_matrices", "_counts")
 
-    def __init__(self, row_r, row_g, col_r, col_g,
-                 iterations, passes) -> None:
-        self._row_r = row_r
-        self._row_g = row_g
-        self._col_r = col_r
-        self._col_g = col_g
-        self._iterations = iterations
-        self._passes = passes
+    def __init__(self, matrices: list[BitMatrix],
+                 counts: list[tuple[int, int]]) -> None:
+        self._matrices = matrices
+        self._counts = counts
 
     @property
     def count(self) -> int:
-        return self._row_r.shape[0]
+        return len(self._matrices)
 
     def counts(self, position: int) -> tuple[int, int]:
-        return (int(self._iterations[position]),
-                int(self._passes[position]))
+        return self._counts[position]
 
     def deadlocked(self, position: int) -> bool:
-        span = self._row_r[position] | self._row_g[position]
-        return bool((span != 0).any())
+        return not self._matrices[position].is_empty()
 
-    def residual(self, position: int, like: BitMatrix) -> BitMatrix:
-        """The reduced plane as a BitMatrix shaped/named after ``like``."""
-        return _plane_residual(self._row_r, self._row_g, self._col_r,
-                               self._col_g, position, like)
+    def residual(self, position: int) -> BitMatrix:
+        """The reduced copy itself: no read-back, nothing to convert."""
+        return self._matrices[position]
 
 
 class PlaneAccumulator:
-    """Long-lived packed planes with in-place row/column refresh.
+    """Per-tenant bit-vector mirrors with in-place row/column refresh.
 
-    The per-plane :class:`BatchPlane` repacks every tenant on every
-    construction; a service shard instead packs each tenant **once**
-    into a slot here, refreshes just the mutated row/column word spans
-    after each accepted operation (:meth:`update`), and reduces only
-    the tenants whose verdict cache went stale (:meth:`reduce`) — the
-    reduction copies the requested slots to scratch, so the persistent
-    planes are never consumed.
+    A service shard adds each tenant **once** into a slot here (a
+    :class:`BitMatrix` mirror of its row and column vectors), copies
+    just the mutated row and column ints after each accepted operation
+    (:meth:`update`), and reduces only the tenants whose verdict cache
+    went stale (:meth:`reduce`) — each reduction runs
+    :meth:`BitMatrix.reduce` on a copy of the mirror, so the mirrors
+    are never consumed.
 
-    Slot geometry grows on demand (capacity doubling, envelope
-    widening); ``repacks`` counts full tenant packs and ``grows``
-    counts geometry reallocations, both surfaced as
-    ``matrix.batch.*`` observability counters by the shard.
+    At service batch sizes (a handful of dirty tenants per tick) this
+    beats packing the dirty tenants into :class:`BatchPlane` words:
+    the vectorized sweep pays NumPy dispatch per pass for every
+    tenant, then a read-back to answer with a residual
+    (``benchmarks/test_bench_shard_reduce.py``).  ``repacks`` counts
+    full tenant adds, surfaced as ``matrix.batch.repacks`` by the
+    shard.
     """
 
     def __init__(self) -> None:
-        if _np is None:
-            raise ConfigurationError(
-                "PlaneAccumulator needs numpy; use batch_plane() per "
-                "tick instead")
-        self._capacity = 0
-        self._m = 0
-        self._n = 0
-        self._wn = 1
-        self._wm = 1
-        self._row_r = None
-        self._row_g = None
-        self._col_r = None
-        self._col_g = None
-        self._row_bits = None
-        self._col_bits = None
+        self._mirrors: list[Optional[BitMatrix]] = []
         self._free: list[int] = []
-        self._used = 0
         #: Full tenant packs (initial adds and re-adds after restore).
         self.repacks = 0
-        #: Geometry reallocations (capacity or envelope growth).
-        self.grows = 0
 
     @property
     def slots_in_use(self) -> int:
-        return self._used - len(self._free)
-
-    @property
-    def words_per_row(self) -> int:
-        return self._wn
-
-    @property
-    def words_per_column(self) -> int:
-        return self._wm
-
-    # -- geometry ------------------------------------------------------
-
-    def _ensure_geometry(self, m: int, n: int, slots: int) -> None:
-        new_m = max(self._m, m)
-        new_n = max(self._n, n)
-        new_cap = max(self._capacity, 4)
-        while new_cap < slots:
-            new_cap *= 2
-        if (new_m, new_n, new_cap) == (self._m, self._n, self._capacity):
-            return
-        wn = plane_words(new_n)
-        wm = plane_words(new_m)
-
-        def regrow(old, shape):
-            fresh = _np.zeros(shape, dtype=_np.uint64)
-            if old is not None:
-                fresh[:old.shape[0], :old.shape[1], :old.shape[2]] = old
-            return fresh
-
-        if self._row_r is not None:
-            self.grows += 1
-        self._row_r = regrow(self._row_r, (new_cap, new_m, wn))
-        self._row_g = regrow(self._row_g, (new_cap, new_m, wn))
-        self._col_r = regrow(self._col_r, (new_cap, new_n, wm))
-        self._col_g = regrow(self._col_g, (new_cap, new_n, wm))
-        self._capacity = new_cap
-        self._m, self._n = new_m, new_n
-        self._wn, self._wm = wn, wm
-        self._row_bits = _bit_table(new_m, wm)
-        self._col_bits = _bit_table(new_n, wn)
-
-    # -- slot lifecycle ------------------------------------------------
+        return len(self._mirrors) - len(self._free)
 
     def add(self, matrix: BitMatrix) -> int:
-        """Pack one tenant into a fresh (or recycled, zeroed) slot."""
-        need = self._used + (0 if self._free else 1)
-        self._ensure_geometry(matrix.m, matrix.n, need)
+        """Mirror one tenant into a fresh (or recycled) slot."""
+        mirror = matrix.copy()
         if self._free:
             slot = self._free.pop()
+            self._mirrors[slot] = mirror
         else:
-            slot = self._used
-            self._used += 1
-        _pack_vectors(self._row_r, self._row_g, slot,
-                      matrix._row_r, matrix._row_g, matrix.m, self._wn)
-        _pack_vectors(self._col_r, self._col_g, slot,
-                      matrix._col_r, matrix._col_g, matrix.n, self._wm)
+            slot = len(self._mirrors)
+            self._mirrors.append(mirror)
         self.repacks += 1
         return slot
 
     def update(self, slot: int, matrix: BitMatrix, s: int, t: int) -> None:
-        """Refresh the word spans a mutation at cell ``(s, t)`` touched.
+        """Copy the vectors a mutation at cell ``(s, t)`` touched.
 
         One claim/release changes row ``s`` and column ``t`` only, so
-        only those four spans are rewritten — no full repack.
+        only those four ints are copied — no full repack.  The edge
+        count moves by row ``s``'s change, so it stays exact whatever
+        order a multi-cell mutation's cells arrive in.
         """
-        _write_words(self._row_r[slot], s, matrix._row_r[s], self._wn)
-        _write_words(self._row_g[slot], s, matrix._row_g[s], self._wn)
-        _write_words(self._col_r[slot], t, matrix._col_r[t], self._wm)
-        _write_words(self._col_g[slot], t, matrix._col_g[t], self._wm)
+        mirror = self._mirrors[slot]
+        row_r = matrix._row_r[s]
+        row_g = matrix._row_g[s]
+        mirror._edges += (row_r.bit_count() + row_g.bit_count()
+                          - mirror._row_r[s].bit_count()
+                          - mirror._row_g[s].bit_count())
+        mirror._row_r[s] = row_r
+        mirror._row_g[s] = row_g
+        mirror._col_r[t] = matrix._col_r[t]
+        mirror._col_g[t] = matrix._col_g[t]
 
     def remove(self, slot: int) -> None:
-        """Zero and recycle one slot (tenant detached or replaced)."""
-        self._row_r[slot] = 0
-        self._row_g[slot] = 0
-        self._col_r[slot] = 0
-        self._col_g[slot] = 0
+        """Drop and recycle one slot (tenant detached or replaced)."""
+        self._mirrors[slot] = None
         self._free.append(slot)
 
-    # -- reduction -----------------------------------------------------
-
     def reduce(self, slots: Sequence[int]) -> PlaneReduction:
-        """Reduce the given slots on a scratch copy of their planes."""
+        """Reduce a copy of each given slot's mirror."""
         if not len(slots):
             raise ConfigurationError("accumulator reduce needs >= 1 slot")
-        index = _np.asarray(list(slots), dtype=_np.intp)
-        row_r = self._row_r[index]
-        row_g = self._row_g[index]
-        col_r = self._col_r[index]
-        col_g = self._col_g[index]
-        iterations, passes = _reduce_plane_arrays(
-            row_r, row_g, col_r, col_g, self._row_bits, self._col_bits)
-        return PlaneReduction(row_r, row_g, col_r, col_g,
-                              iterations, passes)
+        matrices = [self._mirrors[slot].copy() for slot in slots]
+        return PlaneReduction(matrices,
+                              [matrix.reduce() for matrix in matrices])
 
 
 def batch_plane(matrices: Sequence[AnyStateMatrix],

@@ -3,10 +3,11 @@
 The paper's DDU serves one kernel; this package serves *populations*:
 an asyncio front end multiplexes thousands of tenants — each a
 (tasks x resources) RAG instance — over a pool of worker shards, and
-each tick's ``detect`` requests are answered by **one** batched
-Algorithm-1 reduction (:mod:`repro.rag.batch`) instead of N sequential
-per-tenant passes.  See ``docs/service.md`` for the wire protocol,
-batching-tick semantics, backpressure, and live migration.
+each tick's ``detect`` requests are answered after the tick's
+mutations, reducing only the tenants that changed, each on its own
+bit-vector mirror (:class:`repro.rag.batch.PlaneAccumulator`).  See
+``docs/service.md`` for the wire protocol, batching-tick semantics,
+backpressure, and live migration.
 
 Layering:
 

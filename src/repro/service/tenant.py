@@ -1,8 +1,8 @@
 """Per-tenant state: one (tasks x resources) RAG instance.
 
 A :class:`Tenant` wraps a :class:`~repro.rag.bitmatrix.BitMatrix` (the
-fast backend, always — the batched reducer packs straight from its bit
-planes) plus the operation counters the service reports.  Grant policy
+fast backend, always — the shard's reducer mirrors its row and column
+bit vectors) plus the operation counters the service reports.  Grant policy
 is deliberately simple and *derivable from the matrix alone* so a
 snapshot needs no auxiliary queue state:
 

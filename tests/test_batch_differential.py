@@ -8,8 +8,11 @@ iterations, passes, verdicts and residual cells — the same contract
 cell-object reference.  The parametrized ensembles cover > 100 seeded
 cases plus the structured adversaries (chains, cycles, worst cases),
 mixed-shape packing, multi-word (65x65 / 100x100 / 128x128) planes,
-and the persistent :class:`~repro.rag.batch.PlaneAccumulator` under
-seeded random op streams.
+and the persistent :class:`~repro.rag.batch.PlaneAccumulator` (the
+service's bit-vector mirrors, no NumPy needed) under seeded random
+update / remove / re-add streams, also against the
+:func:`~repro.deadlock.pdda.terminal_reduction` reference on
+:class:`~repro.rag.matrix.StateMatrix`.
 """
 
 import random
@@ -18,10 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.deadlock.pdda import terminal_reduction
 from repro.rag.batch import (
     HAS_NUMPY,
     PLANE_WORD_BITS,
     BatchPlane,
+    PlaneAccumulator,
     PythonBatchPlane,
     batch_plane,
     batched_reduce,
@@ -35,7 +40,7 @@ from repro.rag.generate import (
     random_state,
     worst_case_state,
 )
-from repro.rag.matrix import CellState
+from repro.rag.matrix import CellState, StateMatrix
 from tests.test_bitmatrix_equiv import (
     CONVERSION_WIDTHS,
     assert_same_planes,
@@ -234,12 +239,9 @@ def test_residuals_are_independent_copies():
 
 # -- the persistent accumulator (the service tick path) -----------------
 
-@needs_numpy
 def test_accumulator_matches_batch_plane():
-    """add() + reduce() must equal a fresh BatchPlane reduction, and
-    the persistent planes must survive the reduction untouched."""
-    from repro.rag.batch import PlaneAccumulator
-
+    """add() + reduce() must equal per-tenant reduction, and the
+    mirrors must survive the reduction untouched."""
     matrices = [BitMatrix.from_rag(state) for state in _ensemble(7)]
     acc = PlaneAccumulator()
     slots = [acc.add(matrix) for matrix in matrices]
@@ -250,21 +252,18 @@ def test_accumulator_matches_batch_plane():
         counts = solo.reduce()
         assert reduction.counts(position) == counts
         assert reduction.deadlocked(position) == (not solo.is_empty())
-        assert reduction.residual(position, matrix) == solo
+        assert reduction.residual(position) == solo
     # Scratch semantics: reducing the same slots again gives the same
-    # answer — the persistent planes were not consumed.
+    # answer — the mirrors were not consumed.
     again = acc.reduce(slots)
     for position in range(len(matrices)):
         assert again.counts(position) == reduction.counts(position)
 
 
-@needs_numpy
 @pytest.mark.parametrize("side", [12, 65, 100])
 def test_accumulator_incremental_updates(side):
     """In-place row/column refreshes track a seeded op stream exactly —
-    no repack between mutations, including across the word boundary."""
-    from repro.rag.batch import PlaneAccumulator
-
+    no repack between mutations, including past one 64-bit word."""
     acc = PlaneAccumulator()
     matrix = BitMatrix(side, side)
     slot = acc.add(matrix)
@@ -285,16 +284,13 @@ def test_accumulator_incremental_updates(side):
             reduction = acc.reduce([slot])
             solo = matrix.copy()
             assert reduction.counts(0) == solo.reduce()
-            assert reduction.residual(0, matrix) == solo
+            assert reduction.residual(0) == solo
     assert acc.repacks == 1, "updates must never trigger a repack"
 
 
-@needs_numpy
 def test_accumulator_slot_recycling_and_growth():
-    """remove() recycles slots zeroed; geometry grows for wider
-    late-comers without disturbing existing tenants."""
-    from repro.rag.batch import PlaneAccumulator
-
+    """remove() recycles slots; wider late-comers join without
+    disturbing existing tenants."""
     acc = PlaneAccumulator()
     small = BitMatrix.from_rag(cycle_state(4))
     slot_a = acc.add(small)
@@ -305,41 +301,152 @@ def test_accumulator_slot_recycling_and_growth():
     reduction = acc.reduce([slot_b])
     solo = replacement.copy()
     assert reduction.counts(0) == solo.reduce()
-    assert reduction.residual(0, replacement) == solo
-    # A 100-wide tenant forces envelope + word growth; the recycled
-    # small tenant must still reduce identically afterwards.
+    assert reduction.residual(0) == solo
+    # A 100-wide tenant joins; the recycled small tenant must still
+    # reduce identically afterwards.
     wide = BitMatrix.from_rag(worst_case_state(100, 100))
     slot_c = acc.add(wide)
-    assert acc.grows >= 1
     reduction = acc.reduce([slot_b, slot_c])
     solo_small, solo_wide = replacement.copy(), wide.copy()
     assert reduction.counts(0) == solo_small.reduce()
     assert reduction.counts(1) == solo_wide.reduce()
-    assert reduction.residual(1, wide) == solo_wide
+    assert reduction.residual(1) == solo_wide
 
 
-# -- residual read-back: whole word spans per row/column ----------------
+#: Tenant widths of the accumulator stream differential: one bit, the
+#: service's small tenants, both sides of each 64-bit boundary, and the
+#: detect-heavy mix's 160-wide tenants.
+STREAM_WIDTHS = (1, 16, 63, 64, 65, 160)
+
+
+def _mutate(matrix: BitMatrix, rng: random.Random) -> tuple:
+    """One legal single-cell op: grant a free resource, request a held
+    one, or clear the cell; returns the touched cell."""
+    s = rng.randrange(matrix.m)
+    t = rng.randrange(matrix.n)
+    if matrix.get(s, t) is not CellState.EMPTY:
+        matrix.clear(s, t)
+    elif matrix.row_bwo(s)[1] == 0:
+        matrix.set_grant(s, t)
+    else:
+        matrix.set_request(s, t)
+    return s, t
+
+
+def _assert_reduction_matches_references(reduction, position: int,
+                                         matrix: BitMatrix) -> None:
+    solo = matrix.copy()
+    counts = solo.reduce()
+    reference = terminal_reduction(StateMatrix.from_matrix(matrix),
+                                   backend="reference")
+    assert reduction.counts(position) == counts
+    assert counts == (reference.iterations, reference.passes)
+    assert reduction.deadlocked(position) == (not solo.is_empty())
+    assert reduction.deadlocked(position) == (
+        not reference.matrix.is_empty())
+    residual = reduction.residual(position)
+    assert_same_planes(residual, solo)
+    assert residual == reference.matrix
+    assert residual.process_names == matrix.process_names
+    assert residual.resource_names == matrix.resource_names
+
+
+@pytest.mark.parametrize("width", STREAM_WIDTHS)
+def test_accumulator_streams_match_per_tenant_and_reference(width):
+    """Seeded update / remove / re-add streams over three tenants of
+    ``width`` columns (and 1, ``width`` and ``width + 3`` rows): every
+    reduction equals per-tenant ``BitMatrix.reduce()`` and the
+    ``pdda.terminal_reduction`` reference on ``StateMatrix`` — counts,
+    verdict, residual cells, planes and edge count.  Releases that
+    touch two cells are synced in either order."""
+    rng = random.Random(SEED_ROOT * 1009 + width)
+    acc = PlaneAccumulator()
+    matrices = [BitMatrix(m, width) for m in (1, width, width + 3)]
+    slots = [acc.add(matrix) for matrix in matrices]
+    checks = 0
+    for step in range(240):
+        index = rng.randrange(len(matrices))
+        matrix = matrices[index]
+        roll = rng.random()
+        if roll < 0.04:
+            # Detach, mutate while detached, then attach afresh: the
+            # re-add must mirror the matrix as it is now.
+            acc.remove(slots[index])
+            _mutate(matrix, rng)
+            slots[index] = acc.add(matrix)
+        elif roll < 0.2:
+            cells = [_mutate(matrix, rng), _mutate(matrix, rng)]
+            if rng.random() < 0.5:
+                cells.reverse()
+            for s, t in cells:
+                acc.update(slots[index], matrix, s, t)
+        else:
+            s, t = _mutate(matrix, rng)
+            acc.update(slots[index], matrix, s, t)
+        if step % 12 == 11:
+            chosen = rng.sample(range(len(matrices)),
+                                rng.randrange(1, len(matrices) + 1))
+            reduction = acc.reduce([slots[i] for i in chosen])
+            assert reduction.count == len(chosen)
+            for position, i in enumerate(chosen):
+                _assert_reduction_matches_references(
+                    reduction, position, matrices[i])
+            checks += 1
+    assert checks == 20
+    assert acc.slots_in_use == len(matrices)
+
+
+def test_accumulator_reduction_never_consumes_or_aliases_the_mirror():
+    """Reducing twice gives the same answer, and mutating one
+    reduction's residual leaves the next reduction unchanged."""
+    matrix = BitMatrix.from_rag(cycle_state(5))
+    chain = BitMatrix.from_rag(chain_state(6))
+    acc = PlaneAccumulator()
+    slots = [acc.add(matrix), acc.add(chain)]
+    first = acc.reduce(slots)
+    second = acc.reduce(slots)
+    for position in range(2):
+        assert second.counts(position) == first.counts(position)
+        assert second.deadlocked(position) == first.deadlocked(position)
+        assert_same_planes(second.residual(position),
+                           first.residual(position))
+        assert second.residual(position) is not first.residual(position)
+    residual = first.residual(0)
+    assert residual.edge_count == 10
+    residual.clear_row(0)
+    residual.set_grant(0, 4)
+    third = acc.reduce(slots)
+    assert third.counts(0) == second.counts(0)
+    assert_same_planes(third.residual(0), second.residual(0))
+    # Mutating the tenant's own matrix without an update() does not
+    # reach the mirror either: add() copied it.
+    matrix.clear_row(0)
+    assert_same_planes(acc.reduce([slots[0]]).residual(0),
+                       second.residual(0))
+
+
+# -- residuals: the mirror copies and the BatchPlane read-back ---------
 
 def _assert_residuals_match_reduce(matrices) -> None:
-    """Both residual readers equal per-tenant ``BitMatrix.reduce()`` in
-    all four planes and the edge count — tenants packed at their own
-    widths inside the ensemble's widest envelope."""
-    from repro.rag.batch import PlaneAccumulator
-
-    plane = BatchPlane(matrices)
-    plane.reduce_all()
+    """Both residuals equal per-tenant ``BitMatrix.reduce()`` in all
+    four planes and the edge count — the accumulator's always, and
+    (with NumPy) the BatchPlane read-back of tenants packed at their
+    own widths inside the ensemble's widest envelope."""
     acc = PlaneAccumulator()
     slots = [acc.add(matrix) for matrix in matrices]
     reduction = acc.reduce(slots[::-1])
+    plane = BatchPlane(matrices) if HAS_NUMPY else None
+    if plane is not None:
+        plane.reduce_all()
     for index, matrix in enumerate(matrices):
         solo = matrix.copy()
         solo.reduce()
-        assert_same_planes(plane.residual(index), solo)
         position = len(matrices) - 1 - index
-        assert_same_planes(reduction.residual(position, matrix), solo)
+        assert_same_planes(reduction.residual(position), solo)
+        if plane is not None:
+            assert_same_planes(plane.residual(index), solo)
 
 
-@needs_numpy
 @pytest.mark.parametrize("width", CONVERSION_WIDTHS)
 def test_residuals_match_per_tenant_reduce(width):
     rng = random.Random(SEED_ROOT * 7 + width)
@@ -354,7 +461,6 @@ def test_residuals_match_per_tenant_reduce(width):
     _assert_residuals_match_reduce(matrices)
 
 
-@needs_numpy
 @settings(max_examples=40, deadline=None)
 @given(shapes=st.lists(st.tuples(st.sampled_from(CONVERSION_WIDTHS),
                                  st.sampled_from(CONVERSION_WIDTHS),

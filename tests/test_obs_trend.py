@@ -43,6 +43,12 @@ def test_metric_directions():
     assert metric_direction("BENCH_x.iterations") is None
     assert metric_direction("BENCH_x.resilient_overhead_bound") is None
     assert metric_direction("BENCH_x.retry_count") is None
+    # A spread is the noise beside a figure, not a figure to gate.
+    assert metric_direction(
+        "BENCH_service.resilient_overhead_spread") is None
+    assert metric_direction("BENCH_shard_reduce.reduce_160_spread") is None
+    assert metric_direction("BENCH_shard_reduce.reduce_160_ratio") == "higher"
+    assert metric_direction("BENCH_shard_reduce.reduce_160_ms") == "lower"
 
 
 # -- ingest --------------------------------------------------------------------

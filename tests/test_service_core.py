@@ -435,9 +435,7 @@ def test_shard_ping_reports_reduction_tallies():
     assert reply["detect_batches"] == 1
     assert reply["dirty_tenants"] == 1
     assert reply["skipped_detects"] == 1
-    from repro.rag.batch import HAS_NUMPY
-    assert reply["repacks"] == (1 if HAS_NUMPY else 0)
-    assert reply["unpacked_fallbacks"] == (0 if HAS_NUMPY else 2)
+    assert reply["repacks"] == 1
 
 
 def test_shard_obs_counters_attribute_the_win():
@@ -454,14 +452,13 @@ def test_shard_obs_counters_attribute_the_win():
     metrics = obs.metrics
     assert metrics.counter("matrix.batch.dirty_tenants", "").value == 3
     assert metrics.counter("matrix.batch.skipped", "").value == 3
-    from repro.rag.batch import HAS_NUMPY
-    if HAS_NUMPY:
-        assert metrics.counter("matrix.batch.repacks", "").value == 3
+    assert metrics.counter("matrix.batch.repacks", "").value == 3
 
 
-def test_shard_vectorized_false_still_incremental():
-    """Forcing the sequential plane keeps the caching semantics."""
-    core = ShardCore(0, vectorized=False)
+def test_shard_single_path_stays_incremental():
+    """The shard's one reduction path caches verdicts, mirrors each
+    tenant once, and answers like a solo reduction after mutations."""
+    core = ShardCore(0)
     tenant = Tenant.from_attach("t", {"seed": 8, "m": 8, "n": 8})
     core.restore_tenant(tenant.snapshot_state())
     first = _detect(core, "t")
@@ -471,3 +468,16 @@ def test_shard_vectorized_false_still_incremental():
     solo = core.tenants["t"].matrix.copy()
     iterations, passes = solo.reduce()
     assert (first["iterations"], first["passes"]) == (iterations, passes)
+    # Mutate past the cache: the mirror follows without a repack.
+    core.handle("batch", [{"op": "claim", "tenant": "t",
+                           "process": "p1", "resource": "q1"},
+                          {"op": "claim", "tenant": "t",
+                           "process": "p2", "resource": "q1"}])
+    after = _detect(core, "t")
+    assert core.detect_batches == 2
+    solo = core.tenants["t"].matrix.copy()
+    iterations, passes = solo.reduce()
+    assert (after["iterations"], after["passes"]) == (iterations, passes)
+    assert after["deadlock"] == (not solo.is_empty())
+    kind, reply = core.handle("ping", None)
+    assert kind == "ok" and reply["repacks"] == 1
